@@ -88,26 +88,26 @@ impl Fleet {
         }
     }
 
-    /// Reap children that should now exit on their own; escalate to
-    /// kill after a deadline so teardown always terminates.
-    fn reap_all(&mut self) {
+    /// Reap workers that have sent `Final` and are exiting. A worker
+    /// never closes its control socket after `Final`, so the socket's
+    /// EOF (`closed[rank]`, or a `PEv::Eof` still to come on `rx`) means
+    /// the process is exiting and `wait` returns at once. A worker whose
+    /// socket is still open at the handshake deadline is killed.
+    fn reap_all(&mut self, rx: &Receiver<PEv>, mut closed: Vec<bool>) {
         let deadline = Instant::now() + HANDSHAKE_TIMEOUT;
-        for child in self.children.iter_mut() {
-            let Some(c) = child.as_mut() else { continue };
-            loop {
-                match c.try_wait() {
-                    Ok(Some(_)) => break,
-                    Ok(None) if Instant::now() < deadline => {
-                        std::thread::sleep(Duration::from_millis(5))
-                    }
-                    _ => {
-                        let _ = c.kill();
-                        let _ = c.wait();
-                        break;
-                    }
-                }
+        while closed.iter().any(|c| !c) {
+            match rx.recv_timeout(deadline.saturating_duration_since(Instant::now())) {
+                Ok(PEv::Eof { rank }) => closed[rank as usize] = true,
+                Ok(_) => {}
+                Err(_) => break,
             }
-            *child = None;
+        }
+        for (child, closed) in self.children.iter_mut().zip(closed) {
+            let Some(mut c) = child.take() else { continue };
+            if !closed {
+                let _ = c.kill();
+            }
+            let _ = c.wait();
         }
     }
 }
@@ -325,6 +325,7 @@ pub fn run_parent(prog: &Program, cfg: &ProcConfig) -> CkReport {
 
     let start = Instant::now();
     let mut finals: Vec<Option<FinalData>> = (0..npes).map(|_| None).collect();
+    let mut closed = vec![false; npes];
     let mut halted = false;
     let mut stop_elapsed_ns: Option<u64> = None;
     let mut result_bytes: Option<Vec<u8>> = None;
@@ -365,6 +366,7 @@ pub fn run_parent(prog: &Program, cfg: &ProcConfig) -> CkReport {
                 if finals[rank as usize].is_none() {
                     break Err(classify_death(&mut fleet, rank));
                 }
+                closed[rank as usize] = true;
             }
             Ok(PEv::Bad { rank, error }) => {
                 break Err(ProcAbortReason::Protocol { rank, error });
@@ -412,6 +414,7 @@ pub fn run_parent(prog: &Program, cfg: &ProcConfig) -> CkReport {
                                     fleet.broadcast_halt();
                                 }
                             }
+                            Ok(PEv::Eof { rank }) => closed[rank as usize] = true,
                             _ => {}
                         }
                     }
@@ -436,7 +439,7 @@ pub fn run_parent(prog: &Program, cfg: &ProcConfig) -> CkReport {
     }
 
     // -- clean completion: merge and reap ----------------------------------
-    fleet.reap_all();
+    fleet.reap_all(&rx, closed);
     let finals: Vec<FinalData> = finals.into_iter().map(|f| f.expect("all finals")).collect();
     let time_ns = stop_elapsed_ns.unwrap_or_else(|| start.elapsed().as_nanos() as u64);
     let result: Option<Payload> = result_bytes.map(|bytes| {

@@ -51,9 +51,10 @@
 //! envelopes as its wire format: when the program runs with
 //! [`ReliableConfig`](crate::reliable::ReliableConfig), every remote
 //! message travels as the same `RelData`/`RelAck` frames the simulator's
-//! fault experiments use, now encoded to bytes. Small messages to one
-//! destination coalesce into single writes ([`ProcConfig::batch_bytes`]
-//! / [`ProcConfig::batch_frames`]), and the deterministic
+//! fault experiments use, now encoded to bytes. The messages one
+//! scheduling step sends to one destination coalesce into a single write
+//! (split at [`ProcConfig::batch_bytes`] / [`ProcConfig::batch_frames`]),
+//! and the deterministic
 //! [`LossConfig`] shim can drop or reorder frames per directed link so
 //! retransmit, send-window and seed-redirect logic run against real —
 //! but seeded, hence reproducible — socket faults.

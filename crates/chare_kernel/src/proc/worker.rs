@@ -14,7 +14,8 @@
 //! over the data mesh.
 
 use std::collections::VecDeque;
-use std::io::{Read, Write};
+use std::io::{self, Read, Write};
+use std::panic::{self, AssertUnwindSafe};
 use std::sync::mpsc::{self, Receiver, RecvTimeoutError, Sender};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -27,10 +28,10 @@ use crate::metrics::MetricsSink;
 use crate::program::Program;
 use crate::registry::Registry;
 use crate::trace::TraceSink;
-use crate::wire::{decode_sys, encode_sys, Wire};
+use crate::wire::{decode_sys, encode_sys, Wire, WireReader};
 
 use super::shim::LossShim;
-use super::transport::{read_frame, recv_ctl, send_ctl, CtlMsg, Listener, Stream};
+use super::transport::{recv_ctl, send_ctl, CtlMsg, FrameReader, Listener, Stream};
 use super::{CrashHook, CrashMode, ProcOpts, ENV_ADDR, ENV_CRASH, ENV_OPTS, ENV_RANK, ENV_SPEC};
 
 /// How long an idle PE blocks waiting for an event before re-checking
@@ -39,6 +40,18 @@ const IDLE_POLL: Duration = Duration::from_micros(200);
 
 /// Handshake and teardown I/O deadline.
 const HANDSHAKE_TIMEOUT: Duration = Duration::from_secs(30);
+
+/// Worker exit status when the parent's control socket closes before
+/// `Halt` (the parent is gone or gave up on the run).
+const EXIT_CTL_CLOSED: i32 = 3;
+
+/// Worker exit status when a data-mesh link fails: a malformed frame
+/// (an oversize length prefix, or a body shorter than its 12-byte
+/// header) or a read error other than the peer closing. The parent
+/// reports it as `WorkerExit { code: Some(4) }`. A message that does not
+/// decode panics the link's reader, which exits with this status too,
+/// unless the build aborts on panic (then the code is `None`).
+const EXIT_BAD_LINK: i32 = 4;
 
 /// Divert into the worker loop when this process is a `run_procs`
 /// worker; a no-op otherwise.
@@ -77,23 +90,26 @@ pub fn maybe_worker(build: impl FnOnce(&str) -> Program) {
     run_worker(rank, prog, opts, &addr, crash);
 }
 
+/// One decoded data-mesh frame.
+struct Frame {
+    bytes: u32,
+    sent_ns: u64,
+    sys: SysMsg,
+}
+
 /// Events multiplexed onto the worker's single scheduler channel.
 enum Ev {
-    /// A decoded data-mesh frame from a peer PE.
+    /// Every frame one read brought in from peer PE `from`, in link
+    /// order.
     Data {
         from: u32,
-        bytes: u32,
-        sent_ns: u64,
-        sys: SysMsg,
+        frames: Vec<Frame>,
     },
     Start,
     Halt,
     /// The parent's control socket closed — the run is over, one way or
     /// another.
     CtlClosed,
-    /// A peer's data socket closed. Informational: the *parent* owns
-    /// abort detection and will halt everyone.
-    PeerClosed(#[allow(dead_code)] u32),
 }
 
 /// Write half of one peer link, with its coalescing buffer.
@@ -222,35 +238,83 @@ fn deliver_local(node: &mut impl NodeProgram, ctx: &mut ProcCtx) {
     }
 }
 
+/// Decode one data frame body: `[u64 sent_ns][u32 declared bytes][sys]`.
+fn decode_frame(reg: &Arc<Registry>, body: &[u8]) -> io::Result<Frame> {
+    if body.len() < 12 {
+        return Err(io::Error::new(
+            io::ErrorKind::InvalidData,
+            format!(
+                "data frame of {} bytes is shorter than its 12-byte header",
+                body.len()
+            ),
+        ));
+    }
+    let sent_ns = u64::from_le_bytes(body[0..8].try_into().expect("8 bytes"));
+    let bytes = u32::from_le_bytes(body[8..12].try_into().expect("4 bytes"));
+    let sys = decode_sys(reg, &mut WireReader::new(&body[12..]));
+    Ok(Frame {
+        bytes,
+        sent_ns,
+        sys,
+    })
+}
+
+/// Hand one link's frames to the scheduler, a read's worth per event,
+/// until the peer closes or the scheduler is gone (`Ok`) or the link
+/// carries something malformed (`Err`). A peer that exits closes or
+/// resets its end; classifying its death is the parent's job.
+fn pump_link(
+    from: u32,
+    link: &mut FrameReader<impl Read>,
+    reg: &Arc<Registry>,
+    tx: &Sender<Ev>,
+) -> io::Result<()> {
+    loop {
+        let mut frames = Vec::new();
+        loop {
+            let body = match link.next_frame() {
+                Ok(body) => body,
+                Err(e)
+                    if matches!(
+                        e.kind(),
+                        io::ErrorKind::UnexpectedEof
+                            | io::ErrorKind::ConnectionReset
+                            | io::ErrorKind::ConnectionAborted
+                    ) =>
+                {
+                    return Ok(())
+                }
+                Err(e) => return Err(e),
+            };
+            frames.push(decode_frame(reg, body)?);
+            if !link.has_frame() {
+                break;
+            }
+        }
+        if tx.send(Ev::Data { from, frames }).is_err() {
+            return Ok(());
+        }
+    }
+}
+
+/// One reader thread per link keeps draining its socket while the
+/// scheduler computes or blocks in `write_all`, so two workers writing
+/// to each other can never both stall on full socket buffers.
 fn spawn_data_reader(from: u32, stream: Stream, reg: Arc<Registry>, tx: Sender<Ev>) {
     std::thread::Builder::new()
         .name(format!("ck-mesh-{from}"))
         .spawn(move || {
-            let mut stream = stream;
-            loop {
-                match read_frame(&mut stream) {
-                    Ok(body) if body.len() >= 12 => {
-                        let sent_ns = u64::from_le_bytes(body[0..8].try_into().expect("8 bytes"));
-                        let bytes = u32::from_le_bytes(body[8..12].try_into().expect("4 bytes"));
-                        let mut r = crate::wire::WireReader::new(&body[12..]);
-                        let sys = decode_sys(&reg, &mut r);
-                        if tx
-                            .send(Ev::Data {
-                                from,
-                                bytes,
-                                sent_ns,
-                                sys,
-                            })
-                            .is_err()
-                        {
-                            break;
-                        }
-                    }
-                    _ => {
-                        let _ = tx.send(Ev::PeerClosed(from));
-                        break;
-                    }
+            let mut link = FrameReader::new(stream);
+            // A decode panic is a malformed frame as well.
+            let pumped =
+                panic::catch_unwind(AssertUnwindSafe(|| pump_link(from, &mut link, &reg, &tx)));
+            match pumped {
+                Ok(Ok(())) => {}
+                Ok(Err(e)) => {
+                    eprintln!("ck worker: data link from PE {from}: {e}");
+                    std::process::exit(EXIT_BAD_LINK);
                 }
+                Err(_) => std::process::exit(EXIT_BAD_LINK),
             }
         })
         .expect("spawn mesh reader");
@@ -418,7 +482,7 @@ fn run_worker(rank: u32, prog: Program, opts: ProcOpts, addr: &str, crash: Optio
                 halted = true;
                 break;
             }
-            Ok(Ev::CtlClosed) => std::process::exit(3),
+            Ok(Ev::CtlClosed) => std::process::exit(EXIT_CTL_CLOSED),
             Ok(ev) => pending.push(ev),
             Err(_) => panic!("worker {rank}: no Start within handshake deadline"),
         }
@@ -489,10 +553,10 @@ fn run_worker(rank: u32, prog: Program, opts: ProcOpts, addr: &str, crash: Optio
         loop {
             match rx.recv_timeout(HANDSHAKE_TIMEOUT) {
                 Ok(Ev::Halt) => break,
-                Ok(Ev::CtlClosed) => std::process::exit(3),
+                Ok(Ev::CtlClosed) => std::process::exit(EXIT_CTL_CLOSED),
                 Ok(_) => {}
                 Err(RecvTimeoutError::Timeout) => break, // parent stuck; report anyway
-                Err(RecvTimeoutError::Disconnected) => std::process::exit(3),
+                Err(RecvTimeoutError::Disconnected) => std::process::exit(EXIT_CTL_CLOSED),
             }
         }
     }
@@ -534,26 +598,23 @@ fn run_worker(rank: u32, prog: Program, opts: ProcOpts, addr: &str, crash: Optio
 
 fn handle_ev(ev: Ev, node: &mut impl NodeProgram, ctx: &mut ProcCtx, halted: &mut bool) {
     match ev {
-        Ev::Data {
-            from,
-            bytes,
-            sent_ns,
-            sys,
-        } => {
-            let now = ctx.now_ns();
-            node.incoming(Packet {
-                from: Pe(from),
-                bytes,
-                at_ns: now,
-                // Clocks are per-process; clamp so cross-PE latency
-                // metrics never underflow on skew.
-                sent_ns: sent_ns.min(now),
-                payload: Box::new(sys),
-            });
+        Ev::Data { from, frames } => {
+            for f in frames {
+                let now = ctx.now_ns();
+                node.incoming(Packet {
+                    from: Pe(from),
+                    bytes: f.bytes,
+                    at_ns: now,
+                    // Clocks are per-process; clamp so cross-PE latency
+                    // metrics never underflow on skew.
+                    sent_ns: f.sent_ns.min(now),
+                    payload: Box::new(f.sys),
+                });
+            }
         }
         Ev::Halt => *halted = true,
-        Ev::CtlClosed => std::process::exit(3),
-        Ev::Start | Ev::PeerClosed(_) => {}
+        Ev::CtlClosed => std::process::exit(EXIT_CTL_CLOSED),
+        Ev::Start => {}
     }
 }
 
@@ -576,5 +637,114 @@ fn maybe_crash(crash: &mut Option<CrashHook>, user_steps: u64, ctx: &mut ProcCtx
             std::thread::sleep(Duration::from_secs(600));
             std::process::exit(0);
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::ids::{ChareId, EpId};
+    use crate::priority::Priority;
+    use crate::proc::transport::write_frame;
+    use std::io::Cursor;
+
+    /// A data frame whose message carries `tag`.
+    fn frame_bytes(reg: &Registry, tag: u64, out: &mut Vec<u8>) {
+        let sys = SysMsg::ChareMsg {
+            target: ChareId {
+                pe: Pe(0),
+                local: 1,
+            },
+            ep: EpId(2),
+            body: Box::new(tag),
+            bytes: 8,
+            prio: Priority::None,
+        };
+        let mut body = Vec::new();
+        body.extend_from_slice(&(1000 + tag).to_le_bytes());
+        body.extend_from_slice(&8u32.to_le_bytes());
+        encode_sys(reg, &sys, &mut body);
+        write_frame(out, &body).unwrap();
+    }
+
+    fn tag_of(f: Frame) -> u64 {
+        assert_eq!(f.bytes, 8);
+        let tag = match f.sys {
+            SysMsg::ChareMsg { body, .. } => *body.downcast::<u64>().expect("u64 body"),
+            _ => panic!("wrong variant"),
+        };
+        assert_eq!(f.sent_ns, 1000 + tag, "header and message disagree");
+        tag
+    }
+
+    #[test]
+    fn short_data_frame_is_a_link_error_not_a_close() {
+        let reg = Arc::new(Registry::new());
+        let mut stream = Vec::new();
+        frame_bytes(&reg, 7, &mut stream);
+        // A 5-byte body cannot hold the 12-byte frame header.
+        write_frame(&mut stream, &[1, 2, 3, 4, 5]).unwrap();
+        let (tx, _rx) = mpsc::channel();
+        let mut link = FrameReader::new(Cursor::new(stream));
+        let err = pump_link(3, &mut link, &reg, &tx).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err}");
+    }
+
+    #[test]
+    fn clean_close_ends_the_link_quietly() {
+        let reg = Arc::new(Registry::new());
+        let (tx, rx) = mpsc::channel();
+        let mut link = FrameReader::new(Cursor::new(Vec::new()));
+        pump_link(0, &mut link, &reg, &tx).expect("EOF at a frame boundary is a close");
+        assert!(rx.try_recv().is_err());
+    }
+
+    #[test]
+    fn batched_hand_off_keeps_per_link_fifo_order() {
+        // Each link's stream is several read buffers long, so batches end
+        // mid-frame and a frame's halves land in different reads.
+        const N: u64 = 5000;
+        let reg = Arc::new(Registry::new());
+        let (tx, rx) = mpsc::channel();
+        let mut pumps = Vec::new();
+        for from in 0..2u32 {
+            let mut stream = Vec::new();
+            for i in 0..N {
+                frame_bytes(&reg, u64::from(from) << 32 | i, &mut stream);
+            }
+            let (reg, tx) = (Arc::clone(&reg), tx.clone());
+            pumps.push(std::thread::spawn(move || {
+                let mut link = FrameReader::new(Cursor::new(stream));
+                pump_link(from, &mut link, &reg, &tx).expect("clean stream");
+            }));
+        }
+        drop(tx);
+        for p in pumps {
+            p.join().unwrap();
+        }
+        let mut seen = [Vec::new(), Vec::new()];
+        let mut batches = 0;
+        for ev in rx {
+            let Ev::Data { from, frames } = ev else {
+                panic!("only data events")
+            };
+            batches += 1;
+            for f in frames {
+                let tag = tag_of(f);
+                assert_eq!(tag >> 32, u64::from(from), "frame on the wrong link");
+                seen[from as usize].push(tag & 0xFFFF_FFFF);
+            }
+        }
+        for s in &seen {
+            assert_eq!(*s, (0..N).collect::<Vec<_>>());
+        }
+        assert!(
+            batches > 4,
+            "each link spans several reads ({batches} batches)"
+        );
+        assert!(
+            batches < N as usize,
+            "frames were batched ({batches} batches)"
+        );
     }
 }
