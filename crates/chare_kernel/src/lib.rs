@@ -122,6 +122,5 @@ pub mod prelude {
     pub use crate::wire::{Wire, WireReader};
     pub use crate::wire_struct;
     pub use multicomputer::{Cost, FaultPlan, MachinePreset, Pe, SimConfig, Topology};
-    #[cfg(feature = "threads")]
     pub use multicomputer::ThreadConfig;
 }

@@ -18,11 +18,9 @@
 //! `perf_invariants` suite pins this down by diffing whole experiment
 //! tables with pooling on and off.
 //!
-//! Two switches:
-//! * the `msgpool` cargo feature (default on) compiles the pool; without
-//!   it every function below degenerates to plain allocation, and
-//! * [`set_pooling`] toggles recycling at runtime on the current thread
-//!   (used by the A/B determinism tests).
+//! Pooling is on by default; [`set_pooling`] toggles recycling at
+//! runtime on the current thread (the unpooled reference of the A/B
+//! determinism tests).
 //!
 //! Free lists are thread-local, which makes them safe on both backends:
 //! the discrete-event simulator runs a whole machine on one thread (one
@@ -80,16 +78,13 @@ fn batch_class(cap: usize) -> usize {
 
 /// Enable or disable recycling on the current thread. Off, every call
 /// allocates and every reclaim frees — the unpooled A/B baseline.
-/// No-op without the `msgpool` feature (pooling is then always off).
 pub fn set_pooling(on: bool) {
-    let _ = on;
-    #[cfg(feature = "msgpool")]
     ENABLED.with(|e| e.set(on));
 }
 
 /// Whether recycling is active on the current thread.
 pub fn pooling() -> bool {
-    cfg!(feature = "msgpool") && ENABLED.with(|e| e.get())
+    ENABLED.with(|e| e.get())
 }
 
 /// This thread's pool counters.
@@ -106,7 +101,6 @@ pub fn stats() -> PoolStats {
 /// Box `sys` as a machine-layer payload, reusing a recycled envelope
 /// allocation when one is free.
 pub fn payload(sys: SysMsg) -> Payload {
-    #[cfg(feature = "msgpool")]
     if pooling() {
         return POOL.with(|p| {
             let mut p = p.borrow_mut();
@@ -129,7 +123,6 @@ pub fn payload(sys: SysMsg) -> Payload {
 /// Take the message out of a received envelope and return the box's
 /// allocation to the free list.
 pub fn reclaim(bx: Box<SysMsg>) -> SysMsg {
-    #[cfg(feature = "msgpool")]
     if pooling() {
         let mut bx = bx;
         // `WorkNack` is the unit variant: a placeholder that costs one
@@ -149,7 +142,6 @@ pub fn reclaim(bx: Box<SysMsg>) -> SysMsg {
 /// An empty wire buffer with at least `cap_hint` capacity if a recycled
 /// one is available (larger classes are searched before allocating).
 pub fn batch(cap_hint: usize) -> Vec<SysMsg> {
-    #[cfg(feature = "msgpool")]
     if pooling() {
         return POOL.with(|p| {
             let mut p = p.borrow_mut();
@@ -168,7 +160,6 @@ pub fn batch(cap_hint: usize) -> Vec<SysMsg> {
 
 /// Return an emptied wire buffer to its size class.
 pub fn recycle_batch(v: Vec<SysMsg>) {
-    #[cfg(feature = "msgpool")]
     if pooling() && v.capacity() > 0 {
         debug_assert!(v.is_empty(), "recycled wire buffer must be drained");
         POOL.with(|p| {
@@ -185,7 +176,6 @@ pub fn recycle_batch(v: Vec<SysMsg>) {
 
 /// An empty ack-sequence buffer (reliable-delivery wire traffic).
 pub fn seq_vec() -> Vec<u64> {
-    #[cfg(feature = "msgpool")]
     if pooling() {
         return POOL.with(|p| {
             let mut p = p.borrow_mut();
@@ -206,7 +196,6 @@ pub fn seq_vec() -> Vec<u64> {
 
 /// Return an ack-sequence buffer to the free list.
 pub fn recycle_seq_vec(mut v: Vec<u64>) {
-    #[cfg(feature = "msgpool")]
     if pooling() && v.capacity() > 0 {
         v.clear();
         POOL.with(|p| {
@@ -248,7 +237,6 @@ mod tests {
         }
     }
 
-    #[cfg(feature = "msgpool")]
     #[test]
     fn recycled_envelope_allocation_is_reused() {
         with_pooling(true, || {

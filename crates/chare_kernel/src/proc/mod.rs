@@ -18,8 +18,8 @@
 //! contract. Each worker's `main` (or test body) must call
 //! [`maybe_worker`] before anything else: in the parent it is a no-op,
 //! in a worker it builds the program from the `CK_SPEC` string, runs the
-//! per-PE scheduler loop to completion and exits the process — it never
-//! returns. The env contract:
+//! PE on the shared real-time driver ([`multicomputer::drive`]) to
+//! completion and exits the process — it never returns. The env contract:
 //!
 //! | variable        | meaning                                            |
 //! |-----------------|----------------------------------------------------|

@@ -3,15 +3,17 @@
 //! [`maybe_worker`] is the divert point every `run_procs`-capable binary
 //! calls first. In the parent it returns immediately; in a re-invoked
 //! worker (`CK_PE_RANK` set) it builds the program from `CK_SPEC`,
-//! performs the socket handshake, runs the same scheduler loop the
-//! thread backend runs — plus alarm deadlines, outgoing-frame encoding,
-//! per-destination batching and the loss shim — and exits the process.
+//! performs the socket handshake, runs the PE on the real-time driver the
+//! thread backend runs too ([`multicomputer::drive`]) and exits the
+//! process.
 //!
-//! The loop mirrors `multicomputer::thread::pe_loop` deliberately: drain
-//! arrivals, fire a due alarm, step the node, flush coalescing buffers
-//! at the step boundary, and block briefly when idle. What the thread
-//! backend does with channel sends, this file does with encoded frames
-//! over the data mesh.
+//! The driver owns the scheduling policy: drain arrivals, fire a due
+//! alarm, step the node, and block when idle until the next event or the
+//! alarm deadline. This file supplies only the transport ([`ProcCtx`]):
+//! encoded frames over the data mesh where the thread backend sends on
+//! channels, real alarm deadlines, and an after-step hook that delivers
+//! self-sends, flushes the per-destination coalescing buffers and runs
+//! the crash-injection hook.
 
 use std::collections::VecDeque;
 use std::io::{self, Read, Write};
@@ -20,8 +22,10 @@ use std::sync::mpsc::{self, Receiver, RecvTimeoutError, Sender};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use multicomputer::{Cost, NetCtx, NodeFactory, NodeProgram, Packet, Payload, Pe, Replayable,
-    StepKind};
+use multicomputer::{
+    drive, Cost, NetCtx, NodeFactory, NodeProgram, Packet, Payload, Pe, Replayable, StepKind,
+    Transport,
+};
 
 use crate::envelope::SysMsg;
 use crate::metrics::MetricsSink;
@@ -33,10 +37,6 @@ use crate::wire::{decode_sys, encode_sys, Wire, WireReader};
 use super::shim::LossShim;
 use super::transport::{recv_ctl, send_ctl, CtlMsg, FrameReader, Listener, Stream};
 use super::{CrashHook, CrashMode, ProcOpts, ENV_ADDR, ENV_CRASH, ENV_OPTS, ENV_RANK, ENV_SPEC};
-
-/// How long an idle PE blocks waiting for an event before re-checking
-/// alarms (mirrors the thread backend's poll granularity).
-const IDLE_POLL: Duration = Duration::from_micros(200);
 
 /// Handshake and teardown I/O deadline.
 const HANDSHAKE_TIMEOUT: Duration = Duration::from_secs(30);
@@ -119,21 +119,27 @@ struct PeerOut {
     frames: usize,
 }
 
-/// The worker's [`NetCtx`]: encodes remote sends onto the mesh, queues
-/// self-sends locally, and implements real alarm deadlines.
+/// The worker's [`NetCtx`] and driver [`Transport`]: encodes remote
+/// sends onto the mesh, queues self-sends locally, and implements real
+/// alarm deadlines.
 struct ProcCtx {
     me: Pe,
     npes: usize,
     start: Instant,
     reg: Arc<Registry>,
+    ctl: Stream,
     peers: Vec<Option<PeerOut>>,
     local: VecDeque<Packet>,
     stopped: bool,
+    /// The parent's `Halt` arrived.
+    halted: bool,
     result: Option<Payload>,
     alarm_at: Option<u64>,
     batch_bytes: usize,
     batch_frames: usize,
     shim: Option<LossShim>,
+    crash: Option<CrashHook>,
+    user_steps: u64,
 }
 
 impl ProcCtx {
@@ -168,8 +174,26 @@ impl ProcCtx {
         }
     }
 
-    fn alarm_due(&self) -> bool {
-        self.alarm_at.is_some_and(|t| self.now_ns() >= t)
+    /// Fire the crash-injection hook once its step count is reached.
+    fn maybe_crash(&mut self) {
+        let Some(hook) = self.crash else { return };
+        if self.user_steps < hook.after {
+            return;
+        }
+        self.crash = None;
+        match hook.mode {
+            CrashMode::Exit(code) => std::process::exit(code),
+            CrashMode::Close => {
+                // Hang with every socket closed: the parent must notice
+                // the disconnect, not an exit status.
+                self.ctl.shutdown();
+                for peer in self.peers.iter().flatten() {
+                    peer.stream.shutdown();
+                }
+                std::thread::sleep(Duration::from_secs(600));
+                std::process::exit(0);
+            }
+        }
     }
 }
 
@@ -230,11 +254,56 @@ impl NetCtx for ProcCtx {
     }
 }
 
-/// Deliver queued self-sends (produced by the handler that just ran).
-fn deliver_local(node: &mut impl NodeProgram, ctx: &mut ProcCtx) {
-    while let Some(mut pkt) = ctx.local.pop_front() {
-        pkt.payload = Replayable::materialize(pkt.payload);
-        node.incoming(pkt);
+impl Transport for ProcCtx {
+    type Event = Ev;
+
+    fn on_event<N: NodeProgram>(&mut self, ev: Ev, node: &mut N) {
+        match ev {
+            Ev::Data { from, frames } => {
+                for f in frames {
+                    let now = self.now_ns();
+                    node.incoming(Packet {
+                        from: Pe(from),
+                        bytes: f.bytes,
+                        at_ns: now,
+                        // Clocks are per-process; clamp so cross-PE
+                        // latency metrics never underflow on skew.
+                        sent_ns: f.sent_ns.min(now),
+                        payload: Box::new(f.sys),
+                    });
+                }
+            }
+            Ev::Halt => self.halted = true,
+            Ev::CtlClosed => std::process::exit(EXIT_CTL_CLOSED),
+            Ev::Start => {}
+        }
+    }
+
+    /// Deliver the self-sends the handler just made, flush coalescing
+    /// buffers (so batching adds no cross-step latency) and count user
+    /// steps for the crash hook.
+    fn after_step<N: NodeProgram>(&mut self, node: &mut N, kind: Option<StepKind>) {
+        while let Some(mut pkt) = self.local.pop_front() {
+            pkt.payload = Replayable::materialize(pkt.payload);
+            node.incoming(pkt);
+        }
+        self.flush_all();
+        if kind == Some(StepKind::User) {
+            self.user_steps += 1;
+            self.maybe_crash();
+        }
+    }
+
+    fn stopped(&self) -> bool {
+        self.stopped || self.halted
+    }
+
+    fn alarm_at(&self) -> Option<u64> {
+        self.alarm_at
+    }
+
+    fn disarm(&mut self) {
+        self.alarm_at = None;
     }
 }
 
@@ -462,24 +531,27 @@ fn run_worker(rank: u32, prog: Program, opts: ProcOpts, addr: &str, crash: Optio
         npes,
         start: Instant::now(),
         reg,
+        ctl,
         peers,
         local: VecDeque::new(),
         stopped: false,
+        halted: false,
         result: None,
         alarm_at: None,
         batch_bytes: opts.batch_bytes.max(1),
         batch_frames: opts.batch_frames.max(1),
         shim: opts.loss.map(|l| LossShim::new(l, rank, npes)),
+        crash,
+        user_steps: 0,
     };
 
     // -- wait for Start (stashing any early peer frames) -------------------
     let mut pending: Vec<Ev> = Vec::new();
-    let mut halted = false;
     loop {
         match rx.recv_timeout(HANDSHAKE_TIMEOUT) {
             Ok(Ev::Start) => break,
             Ok(Ev::Halt) => {
-                halted = true;
+                ctx.halted = true;
                 break;
             }
             Ok(Ev::CtlClosed) => std::process::exit(EXIT_CTL_CLOSED),
@@ -488,68 +560,29 @@ fn run_worker(rank: u32, prog: Program, opts: ProcOpts, addr: &str, crash: Optio
         }
     }
 
-    let mut user_steps: u64 = 0;
-    let mut crash = crash;
-    if !halted {
+    // -- scheduling --------------------------------------------------------
+    if !ctx.halted {
         ctx.start = Instant::now();
         node.boot(&mut ctx);
-        deliver_local(&mut node, &mut ctx);
-        ctx.flush_all();
-        for ev in pending.drain(..) {
-            handle_ev(ev, &mut node, &mut ctx, &mut halted);
+        ctx.after_step(&mut node, None);
+        for ev in pending {
+            ctx.on_event(ev, &mut node);
         }
+        drive(&mut node, &mut ctx, &rx);
     }
-
-    // -- scheduler loop ----------------------------------------------------
-    while !ctx.stopped && !halted {
-        // Drain arrivals first so priorities act on everything available.
-        while let Ok(ev) = rx.try_recv() {
-            handle_ev(ev, &mut node, &mut ctx, &mut halted);
-        }
-        if halted {
-            break;
-        }
-        if ctx.alarm_due() {
-            ctx.alarm_at = None;
-            node.alarm(&mut ctx);
-            deliver_local(&mut node, &mut ctx);
-            ctx.flush_all();
-            continue;
-        }
-        if node.has_work() {
-            let kind = node.step(&mut ctx);
-            deliver_local(&mut node, &mut ctx);
-            ctx.flush_all();
-            if kind == Some(StepKind::User) {
-                user_steps += 1;
-                maybe_crash(&mut crash, user_steps, &mut ctx, &ctl);
-            }
-        } else {
-            let mut wait = IDLE_POLL;
-            if let Some(t) = ctx.alarm_at {
-                wait = wait.min(Duration::from_nanos(t.saturating_sub(ctx.now_ns())));
-            }
-            match rx.recv_timeout(wait) {
-                Ok(ev) => handle_ev(ev, &mut node, &mut ctx, &mut halted),
-                Err(RecvTimeoutError::Timeout) => {}
-                Err(RecvTimeoutError::Disconnected) => break,
-            }
-        }
-    }
-    ctx.flush_all();
 
     // -- teardown ----------------------------------------------------------
     // Local stop: report it (with any exit result), then wait for the
     // parent's Halt so the Final exchange stays ordered. Reader threads
     // keep draining peer sockets throughout, so no peer can block on a
     // full pipe while this handshake completes.
-    if ctx.stopped && !halted {
+    if ctx.stopped && !ctx.halted {
         let result = ctx.result.take().map(|p| {
             let mut out = Vec::new();
             ctx.reg.wire.encode_body("exit result", &*p, &mut out);
             out
         });
-        let _ = send_ctl(&mut ctl, &CtlMsg::Stopped { result });
+        let _ = send_ctl(&mut ctx.ctl, &CtlMsg::Stopped { result });
         loop {
             match rx.recv_timeout(HANDSHAKE_TIMEOUT) {
                 Ok(Ev::Halt) => break,
@@ -585,7 +618,7 @@ fn run_worker(rank: u32, prog: Program, opts: ProcOpts, addr: &str, crash: Optio
         out
     });
     let _ = send_ctl(
-        &mut ctl,
+        &mut ctx.ctl,
         &CtlMsg::Final {
             end_ns,
             stats,
@@ -594,50 +627,6 @@ fn run_worker(rank: u32, prog: Program, opts: ProcOpts, addr: &str, crash: Optio
         },
     );
     std::process::exit(0);
-}
-
-fn handle_ev(ev: Ev, node: &mut impl NodeProgram, ctx: &mut ProcCtx, halted: &mut bool) {
-    match ev {
-        Ev::Data { from, frames } => {
-            for f in frames {
-                let now = ctx.now_ns();
-                node.incoming(Packet {
-                    from: Pe(from),
-                    bytes: f.bytes,
-                    at_ns: now,
-                    // Clocks are per-process; clamp so cross-PE latency
-                    // metrics never underflow on skew.
-                    sent_ns: f.sent_ns.min(now),
-                    payload: Box::new(f.sys),
-                });
-            }
-        }
-        Ev::Halt => *halted = true,
-        Ev::CtlClosed => std::process::exit(EXIT_CTL_CLOSED),
-        Ev::Start => {}
-    }
-}
-
-/// Fire the crash-injection hook once its step count is reached.
-fn maybe_crash(crash: &mut Option<CrashHook>, user_steps: u64, ctx: &mut ProcCtx, ctl: &Stream) {
-    let Some(hook) = *crash else { return };
-    if user_steps < hook.after {
-        return;
-    }
-    *crash = None;
-    match hook.mode {
-        CrashMode::Exit(code) => std::process::exit(code),
-        CrashMode::Close => {
-            // Hang with every socket closed: the parent must notice the
-            // disconnect, not an exit status.
-            ctl.shutdown();
-            for peer in ctx.peers.iter().flatten() {
-                peer.stream.shutdown();
-            }
-            std::thread::sleep(Duration::from_secs(600));
-            std::process::exit(0);
-        }
-    }
 }
 
 #[cfg(test)]

@@ -15,9 +15,7 @@ use multicomputer::{
     imbalance, AbortReason, BacklogSummary, Cost, FaultStats, NodeFactory, Payload, Pe, SimConfig,
     SimMachine, SimTime, Topology,
 };
-use multicomputer::{MachinePreset, NodeStats};
-#[cfg(feature = "threads")]
-use multicomputer::{ThreadConfig, ThreadMachine};
+use multicomputer::{MachinePreset, NodeStats, ThreadConfig, ThreadMachine};
 
 use crate::balance::BalanceStrategy;
 use crate::bcast::BroadcastMode;
@@ -433,13 +431,11 @@ impl Program {
     /// Run on the thread backend with `npes` OS threads and a default
     /// watchdog. The logical topology (used for balancing neighborhoods)
     /// is a hypercube.
-    #[cfg(feature = "threads")]
     pub fn run_threads(&self, npes: usize) -> CkReport {
         self.run_threads_cfg(ThreadConfig::new(npes), Topology::Hypercube)
     }
 
     /// Run on the thread backend with full control.
-    #[cfg(feature = "threads")]
     pub fn run_threads_cfg(&self, cfg: ThreadConfig, topology: Topology) -> CkReport {
         let sink = self.trace_sink(cfg.npes);
         let msink = self.metrics_sink(cfg.npes, 0, 0);

@@ -18,7 +18,10 @@
 //!   up to 256 PEs on a laptop;
 //! * [`thread`] — a real-parallel backend ([`thread::ThreadMachine`]) with
 //!   one OS thread per PE and channel-based message transport, standing in
-//!   for the shared-memory ports and used for wall-clock benchmarks.
+//!   for the shared-memory ports and used for wall-clock benchmarks;
+//! * [`driver`] — the scheduling loop every real-time backend runs on
+//!   each PE (the thread backend here, the Chare Kernel's processes
+//!   backend), written once against a small [`driver::Transport`] trait.
 //!
 //! The runtime built on top (the `chare_kernel` crate) is written against
 //! the [`program::NodeProgram`] / [`program::NetCtx`] interface and runs
@@ -42,18 +45,19 @@
 //! are ignored.
 
 pub mod cost;
+pub mod driver;
 pub mod fault;
 pub mod pe;
 pub mod program;
 pub mod sim;
 pub mod stats;
-#[cfg(feature = "threads")]
 pub mod thread;
 pub mod time;
 pub mod topology;
 pub mod trace;
 
 pub use cost::{CostModel, MachinePreset};
+pub use driver::{drive, Transport};
 pub use fault::{FaultClass, FaultPlan, FaultRng, FaultStats, LinkOutage, PeFault};
 pub use pe::Pe;
 pub use program::{
@@ -61,7 +65,6 @@ pub use program::{
 };
 pub use sim::{take_events_tally, AbortReason, SimConfig, SimMachine, SimReport};
 pub use stats::{imbalance, BacklogSummary, NodeStats, StatSummary};
-#[cfg(feature = "threads")]
 pub use thread::{ThreadConfig, ThreadMachine, ThreadReport};
 pub use time::{Cost, SimTime};
 pub use trace::{render_profile, utilization_profile, TraceSpan};

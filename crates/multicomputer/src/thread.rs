@@ -14,12 +14,11 @@
 //! and benchmarks against programs that never stop.
 
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::mpsc::{self, Receiver, Sender};
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
-use parking_lot::Mutex;
-
+use crate::driver::{drive, Transport};
 use crate::pe::Pe;
 use crate::program::{NetCtx, NodeFactory, NodeProgram, Packet, Payload, Replayable};
 use crate::stats::NodeStats;
@@ -83,16 +82,46 @@ impl ThreadReport {
     }
 }
 
+/// What a PE's channel carries: a packet, or `None` — a wake-up that
+/// makes an idle PE look at the stop flag.
+type Event = Option<Packet>;
+
 struct Shared {
     stop: AtomicBool,
     result: Mutex<Option<Payload>>,
     start: Instant,
+    /// Every PE's channel.
+    pes: Vec<Sender<Event>>,
+    /// The launcher's channel: woken on stop and as each PE thread ends.
+    launcher: Sender<()>,
+}
+
+impl Shared {
+    /// Set the stop flag and, the first time, wake every PE and the
+    /// launcher.
+    fn stop(&self) {
+        if !self.stop.swap(true, Ordering::AcqRel) {
+            for pe in &self.pes {
+                // A PE that already left has dropped its receiver; benign.
+                let _ = pe.send(None);
+            }
+            let _ = self.launcher.send(());
+        }
+    }
+}
+
+/// Wakes the launcher when its PE thread ends, by return or by panic.
+struct ExitGuard(Sender<()>);
+
+impl Drop for ExitGuard {
+    fn drop(&mut self) {
+        let _ = self.0.send(());
+    }
 }
 
 struct ThreadCtx {
     me: Pe,
     npes: usize,
-    senders: Arc<Vec<Sender<Packet>>>,
     shared: Arc<Shared>,
 }
 
@@ -121,50 +150,44 @@ impl NetCtx for ThreadCtx {
         };
         // A send after shutdown has begun may find the receiver gone;
         // that is benign (the machine is being torn down).
-        let _ = self.senders[to.index()].send(pkt);
+        let _ = self.shared.pes[to.index()].send(Some(pkt));
     }
     fn charge(&mut self, _cost: Cost) {
         // Real work takes real time on this backend.
     }
     fn stop(&mut self) {
-        self.shared.stop.store(true, Ordering::Release);
+        self.shared.stop();
     }
     fn deposit(&mut self, result: Payload) {
-        *self.shared.result.lock() = Some(result);
+        let mut slot = self
+            .shared
+            .result
+            .lock()
+            .expect("a PE panicked while depositing");
+        *slot = Some(result);
     }
 }
 
-/// How long an idle PE blocks waiting for a packet before re-checking the
-/// stop flag.
-const IDLE_POLL: Duration = Duration::from_micros(200);
-
-/// Resolve replayable payload generators into concrete payloads before a
-/// node sees them (the simulator does the same at arrival time).
-fn deliver<N: NodeProgram>(node: &mut N, mut pkt: Packet) {
-    pkt.payload = Replayable::materialize(pkt.payload);
-    node.incoming(pkt);
+impl Transport for ThreadCtx {
+    type Event = Event;
+    fn on_event<N: NodeProgram>(&mut self, ev: Event, node: &mut N) {
+        // Resolve replayable payload generators into concrete payloads
+        // before the node sees them (the simulator does the same at
+        // arrival time).
+        if let Some(mut pkt) = ev {
+            pkt.payload = Replayable::materialize(pkt.payload);
+            node.incoming(pkt);
+        }
+    }
+    fn stopped(&self) -> bool {
+        self.shared.stop.load(Ordering::Acquire)
+    }
 }
 
-fn pe_loop<N: NodeProgram>(mut node: N, rx: Receiver<Packet>, mut ctx: ThreadCtx) -> NodeStats {
+fn pe_loop<N: NodeProgram>(mut node: N, rx: Receiver<Event>, mut ctx: ThreadCtx) -> NodeStats {
+    let _wake_launcher = ExitGuard(ctx.shared.launcher.clone());
     node.boot(&mut ctx);
-    loop {
-        if ctx.shared.stop.load(Ordering::Acquire) {
-            break;
-        }
-        // Drain arrivals first so priorities act on everything available.
-        while let Ok(pkt) = rx.try_recv() {
-            deliver(&mut node, pkt);
-        }
-        if node.has_work() {
-            let _ = node.step(&mut ctx);
-        } else {
-            match rx.recv_timeout(IDLE_POLL) {
-                Ok(pkt) => deliver(&mut node, pkt),
-                Err(RecvTimeoutError::Timeout) => {}
-                Err(RecvTimeoutError::Disconnected) => break,
-            }
-        }
-    }
+    drive(&mut node, &mut ctx, &rx);
     node.stats()
 }
 
@@ -173,25 +196,22 @@ pub struct ThreadMachine;
 
 impl ThreadMachine {
     /// Run `factory`'s node program on `cfg.npes` OS threads until a
-    /// handler calls [`NetCtx::stop`] or the watchdog fires.
+    /// handler calls [`NetCtx::stop`] or the watchdog fires. A panic on a
+    /// PE thread ends the run at once and is re-raised here.
     pub fn run<F>(cfg: ThreadConfig, factory: &F) -> ThreadReport
     where
         F: NodeFactory,
         F::Node: 'static,
     {
         let npes = cfg.npes;
-        let mut senders = Vec::with_capacity(npes);
-        let mut receivers = Vec::with_capacity(npes);
-        for _ in 0..npes {
-            let (tx, rx) = unbounded::<Packet>();
-            senders.push(tx);
-            receivers.push(rx);
-        }
-        let senders = Arc::new(senders);
+        let (pes, receivers): (Vec<_>, Vec<_>) = (0..npes).map(|_| mpsc::channel()).unzip();
+        let (launcher, launcher_rx) = mpsc::channel();
         let shared = Arc::new(Shared {
             stop: AtomicBool::new(false),
             result: Mutex::new(None),
             start: Instant::now(),
+            pes,
+            launcher,
         });
 
         let mut handles = Vec::with_capacity(npes);
@@ -201,7 +221,6 @@ impl ThreadMachine {
             let ctx = ThreadCtx {
                 me: pe,
                 npes,
-                senders: Arc::clone(&senders),
                 shared: Arc::clone(&shared),
             };
             handles.push(
@@ -212,23 +231,23 @@ impl ThreadMachine {
             );
         }
 
-        // Watchdog: wait for stop, then join. The PE loops poll the flag
-        // at IDLE_POLL granularity.
-        let mut timed_out = false;
-        while !shared.stop.load(Ordering::Acquire) {
-            if shared.start.elapsed() > cfg.watchdog {
-                shared.stop.store(true, Ordering::Release);
-                timed_out = true;
-                break;
-            }
-            std::thread::sleep(Duration::from_micros(100));
-        }
-        let node_stats: Vec<NodeStats> = handles
+        // Watchdog: block until a stop, a PE thread ending (only a panic
+        // ends one early) or the deadline, then stop everyone and join.
+        let left = cfg.watchdog.saturating_sub(shared.start.elapsed());
+        let woken = launcher_rx.recv_timeout(left).is_ok();
+        let timed_out = !woken && !shared.stop.load(Ordering::Acquire);
+        shared.stop();
+        let joined: Vec<_> = handles.into_iter().map(|h| h.join()).collect();
+        let node_stats = joined
             .into_iter()
-            .map(|h| h.join().expect("PE thread panicked"))
-            .collect();
+            .collect::<Result<Vec<_>, _>>()
+            .unwrap_or_else(|panic| std::panic::resume_unwind(panic));
         let wall = shared.start.elapsed();
-        let result = shared.result.lock().take();
+        let result = shared
+            .result
+            .lock()
+            .expect("a PE panicked while depositing")
+            .take();
         ThreadReport {
             wall,
             result,
@@ -323,23 +342,45 @@ mod tests {
         assert_eq!(total, 8); // one handler execution per hop: 2 laps * 4 PEs
     }
 
+    /// Never has work; the PE named `fail` panics in `boot`.
+    struct Idle {
+        me: Pe,
+        fail: Option<Pe>,
+    }
+
+    impl NodeProgram for Idle {
+        fn boot(&mut self, _net: &mut dyn NetCtx) {
+            assert_ne!(Some(self.me), self.fail, "PE fails to boot");
+        }
+        fn incoming(&mut self, _pkt: Packet) {}
+        fn step(&mut self, _net: &mut dyn NetCtx) -> Option<StepKind> {
+            None
+        }
+        fn has_work(&self) -> bool {
+            false
+        }
+    }
+
     #[test]
     fn watchdog_fires_on_nonterminating_program() {
-        struct Forever;
-        impl NodeProgram for Forever {
-            fn boot(&mut self, _net: &mut dyn NetCtx) {}
-            fn incoming(&mut self, _pkt: Packet) {}
-            fn step(&mut self, _net: &mut dyn NetCtx) -> Option<StepKind> {
-                None
-            }
-            fn has_work(&self) -> bool {
-                false
-            }
-        }
         let cfg = ThreadConfig::new(2).with_watchdog(Duration::from_millis(50));
-        let rep = ThreadMachine::run(cfg, &FnFactory(|_, _| Forever));
+        let rep = ThreadMachine::run(cfg, &FnFactory(|me, _| Idle { me, fail: None }));
         assert!(rep.timed_out);
         assert!(rep.result.is_none());
+    }
+
+    #[test]
+    fn panicking_pe_ends_the_run_before_the_watchdog() {
+        let cfg = ThreadConfig::new(2).with_watchdog(Duration::from_secs(30));
+        let failing = FnFactory(|me, _| Idle {
+            me,
+            fail: Some(Pe::from(1)),
+        });
+        let t0 = Instant::now();
+        let run = std::panic::catch_unwind(|| ThreadMachine::run(cfg, &failing));
+        assert!(run.is_err(), "the PE's panic must reach the caller");
+        let took = t0.elapsed();
+        assert!(took < Duration::from_secs(10), "run ended after {took:?}");
     }
 
     #[test]
